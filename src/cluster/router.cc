@@ -39,9 +39,9 @@ ClusterRouter::ClusterRouter(Options options)
 
 ClusterRouter::~ClusterRouter() { Stop(); }
 
-easytime::Result<uint16_t> ClusterRouter::SpawnWorker(
-    const std::string& name, const std::string& role,
-    const std::string& store_dir) {
+WorkerSpec ClusterRouter::WorkerSpecFor(const std::string& name,
+                                        const std::string& role,
+                                        const std::string& store_dir) const {
   WorkerSpec spec;
   spec.name = name;
   spec.port_file = options_.work_dir + "/" + name + ".port";
@@ -53,7 +53,7 @@ easytime::Result<uint16_t> ClusterRouter::SpawnWorker(
     spec.argv.push_back("--auth-token");
     spec.argv.push_back(options_.auth_token);
   }
-  return supervisor_.Spawn(spec);
+  return spec;
 }
 
 easytime::Status ClusterRouter::Start() {
@@ -72,6 +72,33 @@ easytime::Status ClusterRouter::Start() {
   fs::create_directories(options_.work_dir, ec);
   if (ec) return Status::IOError("cannot create " + options_.work_dir);
 
+  // Launch every worker before awaiting any: each one's cold start (a
+  // seeding evaluation, then ensemble pretraining) takes seconds, and they
+  // overlap instead of queueing. Await in launch order, stopping at the
+  // first failure.
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<std::string> launched;
+  easytime::Status failed = Status::OK();
+  auto launch = [&](const std::string& name, const std::string& role,
+                    const std::string& store) {
+    if (!failed.ok()) return;
+    auto pid = supervisor_.Launch(WorkerSpecFor(name, role, store));
+    if (pid.ok()) {
+      launched.push_back(name);
+    } else {
+      failed = pid.status();
+    }
+  };
+  auto await_port = [&](const std::string& name,
+                        std::atomic<uint16_t>& port) {
+    if (!failed.ok()) return;
+    auto bound = supervisor_.AwaitPort(name);
+    if (bound.ok()) {
+      port.store(*bound);
+    } else {
+      failed = bound.status();
+    }
+  };
   for (size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->id = "shard-" + std::to_string(i);
@@ -80,19 +107,32 @@ easytime::Status ClusterRouter::Start() {
     shard->breaker = std::make_unique<pipeline::CircuitBreaker>(
         pipeline::CircuitBreaker::Options{options_.breaker_threshold,
                                           options_.breaker_cooldown_ms});
-    EASYTIME_ASSIGN_OR_RETURN(
-        uint16_t pport,
-        SpawnWorker(shard->primary_name, "primary", shard->primary_store));
-    shard->primary_port.store(pport);
+    launch(shard->primary_name, "primary", shard->primary_store);
     if (options_.replicate) {
       shard->replica_name = shard->id + "-r0";
       shard->replica_store =
           options_.work_dir + "/" + shard->id + "-replica-0";
-      EASYTIME_ASSIGN_OR_RETURN(
-          uint16_t rport,
-          SpawnWorker(shard->replica_name, "replica", shard->replica_store));
-      shard->replica_port.store(rport);
-      replicator_.SetLink(shard->id, shard->primary_store, rport);
+      launch(shard->replica_name, "replica", shard->replica_store);
+    }
+    shards.push_back(std::move(shard));
+  }
+  for (auto& shard : shards) {
+    await_port(shard->primary_name, shard->primary_port);
+    if (options_.replicate) {
+      await_port(shard->replica_name, shard->replica_port);
+    }
+  }
+  if (!failed.ok()) {
+    for (const std::string& name : launched) {
+      supervisor_.Terminate(name);
+      supervisor_.Forget(name);
+    }
+    return failed;
+  }
+  for (auto& shard : shards) {
+    if (options_.replicate) {
+      replicator_.SetLink(shard->id, shard->primary_store,
+                          shard->replica_port.load());
     }
     map_.AddShard(shard->id);
     shards_.push_back(std::move(shard));
@@ -784,7 +824,7 @@ void ClusterRouter::SpawnReplacementReplica(Shard& shard) {
   // stale leftovers from a previous replica life must not mask new ships.
   const std::string store = options_.work_dir + "/" + shard.id + "-replica-" +
                             std::to_string(shard.replica_generation);
-  auto port = SpawnWorker(name, "replica", store);
+  auto port = supervisor_.Spawn(WorkerSpecFor(name, "replica", store));
   if (!port.ok()) {
     EASYTIME_LOG(Error) << "router: could not spawn replacement replica for "
                         << shard.id << ": " << port.status().ToString();

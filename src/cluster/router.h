@@ -80,8 +80,11 @@ class ClusterRouter {
   ClusterRouter(const ClusterRouter&) = delete;
   ClusterRouter& operator=(const ClusterRouter&) = delete;
 
-  /// Spawns the workers (primaries, then replicas), starts the replication
-  /// and health threads, and binds the client front-end.
+  /// Launches every worker (each shard's primary, then its replica) at
+  /// once and waits for all of them to come up, then starts the replication
+  /// and health threads and binds the client front-end. If any worker fails
+  /// bring-up, every worker launched here is terminated and forgotten and
+  /// the first error is returned.
   easytime::Status Start();
   void Stop();
 
@@ -176,9 +179,9 @@ class ClusterRouter {
   /// Spawns a fresh replica for \p shard (new name + empty staging dir).
   void SpawnReplacementReplica(Shard& shard);
 
-  easytime::Result<uint16_t> SpawnWorker(const std::string& name,
-                                         const std::string& role,
-                                         const std::string& store_dir);
+  /// The supervisor spec of one worker process.
+  WorkerSpec WorkerSpecFor(const std::string& name, const std::string& role,
+                           const std::string& store_dir) const;
 
   std::unique_ptr<serve::TcpClient> AcquireClient(Shard& shard,
                                                   uint16_t port);

@@ -85,27 +85,26 @@ easytime::Result<uint16_t> Supervisor::AwaitPort(const std::string& name) {
   }
 }
 
-easytime::Result<uint16_t> Supervisor::Spawn(const WorkerSpec& spec) {
-  bool inserted = false;
-  pid_t pid = -1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, fresh] = workers_.try_emplace(spec.name);
-    inserted = fresh;
-    Worker& w = it->second;
-    if (!fresh && (w.spawning || (w.proc && w.proc->Alive()))) {
-      return Status::AlreadyExists("worker '" + spec.name + "' is running");
-    }
-    w.spec = spec;
-    auto launched = LaunchLocked(w);
-    if (!launched.ok()) {
-      if (fresh) workers_.erase(it);
-      return launched;
-    }
-    pid = w.proc->pid();
+easytime::Result<pid_t> Supervisor::Launch(const WorkerSpec& spec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, fresh] = workers_.try_emplace(spec.name);
+  Worker& w = it->second;
+  if (!fresh && (w.spawning || (w.proc && w.proc->Alive()))) {
+    return Status::AlreadyExists("worker '" + spec.name + "' is running");
   }
+  w.spec = spec;
+  auto launched = LaunchLocked(w);
+  if (!launched.ok()) {
+    if (fresh) workers_.erase(it);
+    return launched;
+  }
+  return w.proc->pid();
+}
+
+easytime::Result<uint16_t> Supervisor::Spawn(const WorkerSpec& spec) {
+  EASYTIME_ASSIGN_OR_RETURN(pid_t pid, Launch(spec));
   auto port = AwaitPort(spec.name);
-  if (!port.ok() && inserted) {
+  if (!port.ok()) {
     // Drop the failed entry, but only if it is still OUR launch — a
     // concurrent caller may have replaced it once spawning cleared.
     std::lock_guard<std::mutex> lock(mu_);

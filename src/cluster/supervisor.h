@@ -2,7 +2,7 @@
 
 /// \file supervisor.h
 /// \brief Worker-process supervision for the cluster tier (DESIGN.md §14):
-/// spawn a worker binary, wait for it to publish its bound port through a
+/// launch worker binaries, wait for each to publish its bound port through a
 /// port file, poll liveness, and restart crashed workers under exponential
 /// backoff. The supervisor owns the processes but not the policy — the
 /// router decides WHEN to restart or promote; the supervisor only refuses
@@ -34,8 +34,9 @@ struct WorkerSpec {
 class Supervisor {
  public:
   struct Options {
-    /// How long Spawn waits for the port file (worker bring-up includes a
-    /// seeding evaluation on a cold store, so this is generous).
+    /// How long AwaitPort waits for the port file, counted from the launch
+    /// (worker bring-up includes a seeding evaluation on a cold store, so
+    /// this is generous).
     double spawn_timeout_ms = 120000.0;
     double restart_backoff_ms = 200.0;      ///< base, doubles per restart
     double restart_backoff_max_ms = 5000.0;
@@ -48,8 +49,21 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// \brief Spawns \p spec and blocks until the worker publishes its port
-  /// (or dies, or the timeout expires). Returns the bound port.
+  /// \brief Starts \p spec's process without waiting for it to come up;
+  /// finish bring-up with AwaitPort. Launching several workers before
+  /// awaiting any lets their start-up (a seeding evaluation on a cold store)
+  /// overlap. Refuses a name whose worker is running or still coming up.
+  /// Returns the process id.
+  easytime::Result<pid_t> Launch(const WorkerSpec& spec);
+
+  /// \brief Blocks until the named worker publishes its port, dies, or the
+  /// spawn timeout (counted from its launch) expires; a timed-out worker is
+  /// terminated. Returns the bound port. Re-takes the lock per poll, so a
+  /// multi-second bring-up never stalls Alive/StatsJson/PortOf.
+  easytime::Result<uint16_t> AwaitPort(const std::string& name);
+
+  /// \brief Launch, then AwaitPort. A worker that fails bring-up is
+  /// forgotten.
   easytime::Result<uint16_t> Spawn(const WorkerSpec& spec);
 
   /// True while the worker process is running (reaps zombies as a side
@@ -91,13 +105,8 @@ class Supervisor {
   };
 
   /// Launches \p w's process and marks it spawning; the caller completes
-  /// bring-up with AwaitPort after releasing mu_.
+  /// bring-up with AwaitPort (which clears the flag) after releasing mu_.
   easytime::Status LaunchLocked(Worker& w);
-  /// Polls until the named worker publishes its port, dies, or times out,
-  /// re-taking mu_ per tick — a multi-second bring-up (cold-store seeding
-  /// evaluation) must not stall Alive/StatsJson/PortOf for other workers.
-  /// Clears the spawning flag on every exit path.
-  easytime::Result<uint16_t> AwaitPort(const std::string& name);
 
   const Options options_;
   mutable std::mutex mu_;

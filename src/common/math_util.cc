@@ -220,6 +220,36 @@ Result<std::vector<double>> SolveLinearSystem(std::vector<double> a,
   return x;
 }
 
+std::vector<double> NormalMatrix(const std::vector<double>& x, size_t rows,
+                                 size_t cols) {
+  std::vector<double> xtx(cols * cols, 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t i = 0; i < cols; ++i) {
+      double xi = x[r * cols + i];
+      for (size_t j = i; j < cols; ++j) {
+        xtx[i * cols + j] += xi * x[r * cols + j];
+      }
+    }
+  }
+  for (size_t i = 0; i < cols; ++i) {
+    for (size_t j = 0; j < i; ++j) xtx[i * cols + j] = xtx[j * cols + i];
+  }
+  return xtx;
+}
+
+Result<std::vector<double>> SolveNormalEquations(
+    const std::vector<double>& xtx, const std::vector<double>& xty,
+    size_t cols, double l2) {
+  std::vector<double> a = xtx;
+  for (size_t i = 0; i < cols; ++i) a[i * cols + i] += l2;
+  auto res = SolveLinearSystem(std::move(a), xty, cols);
+  if (!res.ok() && l2 == 0.0) {
+    // Degenerate design matrix: retry with a small ridge for robustness.
+    return SolveNormalEquations(xtx, xty, cols, 1e-8);
+  }
+  return res;
+}
+
 Result<std::vector<double>> LeastSquares(const std::vector<double>& x,
                                          const std::vector<double>& y,
                                          size_t rows, size_t cols,
@@ -231,27 +261,11 @@ Result<std::vector<double>> LeastSquares(const std::vector<double>& x,
     return Status::InvalidArgument("LeastSquares: empty problem");
   }
   // Normal equations: (X^T X + l2 I) beta = X^T y.
-  std::vector<double> xtx(cols * cols, 0.0);
   std::vector<double> xty(cols, 0.0);
   for (size_t r = 0; r < rows; ++r) {
-    for (size_t i = 0; i < cols; ++i) {
-      double xi = x[r * cols + i];
-      xty[i] += xi * y[r];
-      for (size_t j = i; j < cols; ++j) {
-        xtx[i * cols + j] += xi * x[r * cols + j];
-      }
-    }
+    for (size_t i = 0; i < cols; ++i) xty[i] += x[r * cols + i] * y[r];
   }
-  for (size_t i = 0; i < cols; ++i) {
-    for (size_t j = 0; j < i; ++j) xtx[i * cols + j] = xtx[j * cols + i];
-    xtx[i * cols + i] += l2;
-  }
-  auto res = SolveLinearSystem(std::move(xtx), std::move(xty), cols);
-  if (!res.ok() && l2 == 0.0) {
-    // Degenerate design matrix: retry with a small ridge for robustness.
-    return LeastSquares(x, y, rows, cols, 1e-8);
-  }
-  return res;
+  return SolveNormalEquations(NormalMatrix(x, rows, cols), xty, cols, l2);
 }
 
 std::pair<double, double> LinearTrendFit(const std::vector<double>& v) {

@@ -65,6 +65,17 @@ Result<std::vector<double>> SolveLinearSystem(std::vector<double> a,
                                               std::vector<double> b,
                                               size_t n);
 
+/// X^T X of a row-major (rows x cols) X: the upper triangle accumulated
+/// row by row, then mirrored.
+std::vector<double> NormalMatrix(const std::vector<double>& x, size_t rows,
+                                 size_t cols);
+
+/// \brief Solves (xtx + l2 I) beta = xty. A singular system with l2 == 0 is
+/// retried with a 1e-8 ridge.
+Result<std::vector<double>> SolveNormalEquations(
+    const std::vector<double>& xtx, const std::vector<double>& xty,
+    size_t cols, double l2);
+
 /// \brief Ordinary least squares: minimizes ||X beta - y||^2 with optional
 /// L2 (ridge) regularization. X is row-major (rows x cols).
 Result<std::vector<double>> LeastSquares(const std::vector<double>& x,

@@ -8,57 +8,115 @@
 
 namespace easytime::methods {
 
+namespace {
+
+/// Stable in-place partition of ids[begin, end) by \p goes_left: the
+/// left-going ids keep their order at the front, the rest follow in order.
+void StablePartition(std::vector<uint32_t>& ids, size_t begin, size_t end,
+                     const std::vector<char>& goes_left,
+                     std::vector<uint32_t>& spill) {
+  size_t out = begin;
+  size_t spilled = 0;
+  for (size_t p = begin; p < end; ++p) {
+    const uint32_t r = ids[p];
+    if (goes_left[r]) {
+      ids[out++] = r;
+    } else {
+      spill[spilled++] = r;
+    }
+  }
+  std::copy(spill.begin(), spill.begin() + static_cast<long>(spilled),
+            ids.begin() + static_cast<long>(out));
+}
+
+}  // namespace
+
+RegressionTree::FeatureOrder RegressionTree::SortFeatures(
+    const std::vector<std::vector<double>>& x) {
+  const size_t num_features = x.empty() ? 0 : x[0].size();
+  FeatureOrder out(num_features, std::vector<uint32_t>(x.size()));
+  for (size_t f = 0; f < num_features; ++f) {
+    std::vector<uint32_t>& order = out[f];
+    std::iota(order.begin(), order.end(), 0u);
+    // Stable on ascending ids, so equal values stay in row order.
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return x[a][f] < x[b][f];
+    });
+  }
+  return out;
+}
+
+struct RegressionTree::Work {
+  std::vector<uint32_t> rows;                ///< ascending row ids
+  std::vector<std::vector<uint32_t>> order;  ///< per feature, (value, row)
+  std::vector<char> goes_left;               ///< [row] side of a split
+  std::vector<uint32_t> spill;               ///< partition scratch
+};
+
 void RegressionTree::Fit(const std::vector<std::vector<double>>& x,
                          const std::vector<double>& y,
                          const Options& options) {
+  Fit(x, y, SortFeatures(x), options);
+}
+
+void RegressionTree::Fit(const std::vector<std::vector<double>>& x,
+                         const std::vector<double>& y,
+                         const FeatureOrder& order, const Options& options) {
   nodes_.clear();
-  std::vector<size_t> idx(x.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  Build(x, y, idx, 0, options);
+  Work work;
+  work.rows.resize(x.size());
+  std::iota(work.rows.begin(), work.rows.end(), 0u);
+  work.order = order;
+  work.goes_left.assign(x.size(), 0);
+  work.spill.resize(x.size());
+  Build(x, y, work, 0, x.size(), 0, options);
 }
 
 int RegressionTree::Build(const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y,
-                          std::vector<size_t>& idx, size_t depth,
+                          const std::vector<double>& y, Work& work,
+                          size_t begin, size_t end, size_t depth,
                           const Options& options) {
+  const size_t n = end - begin;
+  const uint32_t* rows = work.rows.data() + begin;
   Node node;
   double sum = 0.0;
-  for (size_t i : idx) sum += y[i];
-  double mean = idx.empty() ? 0.0 : sum / static_cast<double>(idx.size());
+  for (size_t p = 0; p < n; ++p) sum += y[rows[p]];
+  double mean = n == 0 ? 0.0 : sum / static_cast<double>(n);
   node.value = mean;
 
   bool make_leaf = depth >= options.max_depth ||
-                   idx.size() < 2 * options.min_samples_leaf ||
+                   n < 2 * options.min_samples_leaf ||
                    (options.cancel && options.cancel->Expired());
   if (!make_leaf) {
     // Greedy best split by SSE reduction.
-    size_t num_features = x.empty() ? 0 : x[0].size();
+    const size_t num_features = work.order.size();
     double base_sse = 0.0;
-    for (size_t i : idx) base_sse += (y[i] - mean) * (y[i] - mean);
+    double total_sq = 0.0;
+    for (size_t p = 0; p < n; ++p) {
+      const double yi = y[rows[p]];
+      base_sse += (yi - mean) * (yi - mean);
+      total_sq += yi * yi;
+    }
 
     double best_gain = 1e-12;
     int best_feature = -1;
     double best_threshold = 0.0;
     for (size_t f = 0; f < num_features; ++f) {
-      // One per-feature pass sorts all rows at this node — milliseconds on
-      // long series, so the cancel check sits between features too.
       if (options.cancel && options.cancel->Expired()) break;
-      std::vector<size_t> order = idx;
-      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return x[a][f] < x[b][f];
-      });
-      // Prefix sums over the sorted order.
+      // The node's rows in (value, row) order: prefix sums along it score
+      // every cut point in one pass.
+      const uint32_t* order = work.order[f].data() + begin;
       double left_sum = 0.0, left_sq = 0.0;
-      double total_sq = 0.0;
-      for (size_t i : idx) total_sq += y[i] * y[i];
-      for (size_t pos = 0; pos + 1 < order.size(); ++pos) {
+      for (size_t pos = 0; pos + 1 < n; ++pos) {
         double yi = y[order[pos]];
         left_sum += yi;
         left_sq += yi * yi;
         // Can't split between equal feature values.
-        if (x[order[pos]][f] == x[order[pos + 1]][f]) continue;
+        const double here = x[order[pos]][f];
+        const double next = x[order[pos + 1]][f];
+        if (here == next) continue;
         size_t nl = pos + 1;
-        size_t nr = order.size() - nl;
+        size_t nr = n - nl;
         if (nl < options.min_samples_leaf || nr < options.min_samples_leaf) {
           continue;
         }
@@ -71,27 +129,32 @@ int RegressionTree::Build(const std::vector<std::vector<double>>& x,
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
-          best_threshold =
-              0.5 * (x[order[pos]][f] + x[order[pos + 1]][f]);
+          best_threshold = 0.5 * (here + next);
         }
       }
     }
     if (best_feature >= 0) {
-      std::vector<size_t> left, right;
-      for (size_t i : idx) {
-        if (x[i][static_cast<size_t>(best_feature)] <= best_threshold) {
-          left.push_back(i);
-        } else {
-          right.push_back(i);
-        }
+      const size_t bf = static_cast<size_t>(best_feature);
+      size_t nl = 0;
+      for (size_t p = 0; p < n; ++p) {
+        const bool left = x[rows[p]][bf] <= best_threshold;
+        work.goes_left[rows[p]] = left;
+        nl += left;
       }
-      if (!left.empty() && !right.empty()) {
+      if (nl > 0 && nl < n) {
+        StablePartition(work.rows, begin, end, work.goes_left, work.spill);
+        // Children at max_depth are leaves and never scan their orders.
+        if (depth + 1 < options.max_depth) {
+          for (auto& order : work.order) {
+            StablePartition(order, begin, end, work.goes_left, work.spill);
+          }
+        }
         node.feature = best_feature;
         node.threshold = best_threshold;
         int self = static_cast<int>(nodes_.size());
         nodes_.push_back(node);
-        int l = Build(x, y, left, depth + 1, options);
-        int r = Build(x, y, right, depth + 1, options);
+        int l = Build(x, y, work, begin, begin + nl, depth + 1, options);
+        int r = Build(x, y, work, begin + nl, end, depth + 1, options);
         nodes_[static_cast<size_t>(self)].left = l;
         nodes_[static_cast<size_t>(self)].right = r;
         return self;
@@ -138,9 +201,11 @@ Status GbdtForecaster::Fit(const std::vector<double>& train,
   RegressionTree::Options topt;
   topt.max_depth = options_.max_depth;
   topt.min_samples_leaf = options_.min_samples_leaf;
-  // Split searches sort every node's rows per feature — milliseconds apiece
-  // on long series — so the checker uses a small stride and is shared with
-  // Build so an expired deadline also cuts the current tree short.
+  // The lag matrix is the same for every tree: sort its columns once.
+  const RegressionTree::FeatureOrder order =
+      RegressionTree::SortFeatures(wd.inputs);
+  // The checker is shared with Build so an expired deadline also cuts the
+  // current tree short, not just the boosting loop.
   DeadlineChecker deadline(ctx.deadline, 4);
   topt.cancel = &deadline;
 
@@ -152,7 +217,7 @@ Status GbdtForecaster::Fit(const std::vector<double>& train,
     }
     for (size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - current[i];
     RegressionTree tree;
-    tree.Fit(wd.inputs, residual, topt);
+    tree.Fit(wd.inputs, residual, order, topt);
     for (size_t i = 0; i < y.size(); ++i) {
       current[i] += options_.learning_rate * tree.Predict(wd.inputs[i]);
     }

@@ -5,6 +5,7 @@
 /// GBDT (least-squares boosting, greedy variance-reduction splits) standing
 /// in for the XGBoost-style baselines in TFB's ML family.
 
+#include <cstdint>
 #include <memory>
 
 #include "methods/forecaster.h"
@@ -21,13 +22,25 @@ class RegressionTree {
     /// Optional cooperative cancellation (not owned). When it reports
     /// expired, Build stops searching for splits and emits leaves, so a
     /// deep recursion unwinds in microseconds instead of finishing the
-    /// per-feature sort work.
+    /// remaining per-feature scans.
     easytime::DeadlineChecker* cancel = nullptr;
   };
+
+  /// Row ids of a feature matrix sorted per feature in (value, row) order:
+  /// [feature][rank] -> row.
+  using FeatureOrder = std::vector<std::vector<uint32_t>>;
+  /// Sorts \p x's columns. A boosted fit sorts its lag matrix once and
+  /// every tree reuses the orders, so a node's split search is a linear
+  /// scan rather than a sort.
+  static FeatureOrder SortFeatures(const std::vector<std::vector<double>>& x);
 
   /// Fits the tree to (features, residual targets).
   void Fit(const std::vector<std::vector<double>>& x,
            const std::vector<double>& y, const Options& options);
+  /// Same, with \p order = SortFeatures(x) computed by the caller.
+  void Fit(const std::vector<std::vector<double>>& x,
+           const std::vector<double>& y, const FeatureOrder& order,
+           const Options& options);
 
   /// Predicts a single feature vector.
   double Predict(const std::vector<double>& features) const;
@@ -43,9 +56,12 @@ class RegressionTree {
     int left = -1;
     int right = -1;
   };
+  /// Per-fit working state (row ids, per-feature orders): every node owns
+  /// the range [begin, end) of each, and a split partitions it stably.
+  struct Work;
   int Build(const std::vector<std::vector<double>>& x,
-            const std::vector<double>& y, std::vector<size_t>& idx,
-            size_t depth, const Options& options);
+            const std::vector<double>& y, Work& work, size_t begin,
+            size_t end, size_t depth, const Options& options);
 
   std::vector<Node> nodes_;
 };

@@ -10,8 +10,10 @@ namespace {
 
 /// Fits one ridge head per target step over shared features.
 /// features: rows x (L+1 with bias); returns per-step coefficient vectors.
-/// Each head is a full least-squares solve (>1ms on long series), so the
-/// deadline is checked before every head.
+/// The heads share one design matrix, so X^T X is built once and each head
+/// adds only its X^T y — accumulated as in LeastSquares, so every head
+/// equals a LeastSquares solve bit for bit. The deadline is checked before
+/// every head's solve.
 Result<std::vector<std::vector<double>>> FitHeads(
     const std::vector<std::vector<double>>& inputs,
     const std::vector<std::vector<double>>& targets, size_t horizon,
@@ -34,14 +36,20 @@ Result<std::vector<std::vector<double>>> FitHeads(
     std::copy(f.begin(), f.end(), x.begin() + static_cast<long>(r * cols + 1));
   }
 
+  const std::vector<double> xtx = NormalMatrix(x, rows, cols);
   std::vector<std::vector<double>> heads(horizon);
-  std::vector<double> y(rows);
+  std::vector<double> xty(cols);
   for (size_t h = 0; h < horizon; ++h) {
     if (checker.Expired()) {
       return Status::DeadlineExceeded("linear fit aborted mid-heads");
     }
-    for (size_t r = 0; r < rows; ++r) y[r] = targets[r][h] - offsets[r];
-    EASYTIME_ASSIGN_OR_RETURN(heads[h], LeastSquares(x, y, rows, cols, l2));
+    std::fill(xty.begin(), xty.end(), 0.0);
+    for (size_t r = 0; r < rows; ++r) {
+      const double y = targets[r][h] - offsets[r];
+      for (size_t i = 0; i < cols; ++i) xty[i] += x[r * cols + i] * y;
+    }
+    EASYTIME_ASSIGN_OR_RETURN(heads[h],
+                              SolveNormalEquations(xtx, xty, cols, l2));
   }
   return heads;
 }

@@ -39,6 +39,23 @@ bool FindTopK(const std::string& q, size_t* k) {
   return false;
 }
 
+/// True when \p word occurs in \p q delimited by non-identifier characters
+/// (letters, digits and '_' continue a word).
+bool ContainsWord(const std::string& q, const std::string& word) {
+  auto is_word_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  for (size_t pos = q.find(word); pos != std::string::npos;
+       pos = q.find(word, pos + 1)) {
+    const size_t after = pos + word.size();
+    if ((pos == 0 || !is_word_char(q[pos - 1])) &&
+        (after == q.size() || !is_word_char(q[after]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Finds a metric mention; \p found reports whether the question named one.
 std::string FindMetric(const std::string& q, bool* found) {
   struct Synonym {
@@ -67,8 +84,8 @@ QuestionFilters FindFilters(const std::string& q,
   if (q.find("multivariate") != std::string::npos) f.want_multivariate = true;
   if (q.find("univariate") != std::string::npos) f.want_univariate = true;
   if (q.find("trend") != std::string::npos) f.with_trend = true;
-  if (q.find("seasonal") != std::string::npos ||
-      q.find("seasonality") != std::string::npos) {
+  // Whole words only: the method name seasonal_naive is not a filter.
+  if (ContainsWord(q, "seasonal") || ContainsWord(q, "seasonality")) {
     f.with_seasonality = true;
   }
   if (q.find("non-stationary") != std::string::npos ||

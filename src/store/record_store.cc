@@ -90,10 +90,29 @@ easytime::Result<uint64_t> RecordStore::Append(std::string_view payload) {
 easytime::Status RecordStore::Sync() { return wal_->Sync(); }
 
 easytime::Status RecordStore::Compact(std::string_view state) {
+  std::lock_guard<std::mutex> lock(compact_mu_);
   // Make every record the snapshot claims to cover durable first, so a
   // snapshot never references appends the WAL could still lose.
   EASYTIME_RETURN_IF_ERROR(wal_->Sync());
+  return CompactLocked(wal_->last_seq(), state);
+}
+
+easytime::Status RecordStore::CompactIfDue(
+    uint64_t every, const std::function<std::string()>& encode_state) {
+  auto due = [&] {
+    return every > 0 &&
+           appends_since_compaction_.load(std::memory_order_relaxed) >= every;
+  };
+  if (!due()) return easytime::Status::OK();
+  std::lock_guard<std::mutex> lock(compact_mu_);
+  if (!due()) return easytime::Status::OK();  // another caller compacted
   const uint64_t seq = wal_->last_seq();
+  EASYTIME_RETURN_IF_ERROR(wal_->Sync());
+  return CompactLocked(seq, encode_state());
+}
+
+easytime::Status RecordStore::CompactLocked(uint64_t seq,
+                                            std::string_view state) {
   EASYTIME_RETURN_IF_ERROR(WriteSnapshot(dir_, seq, state));
   snapshot_seq_.store(seq, std::memory_order_relaxed);
   appends_since_compaction_.store(0, std::memory_order_relaxed);

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,8 +58,8 @@ struct RecordStoreRecovery {
 };
 
 /// \brief The durable store. Append/Sync/Compact are thread-safe with
-/// respect to each other (the underlying WAL serializes appends; Compact
-/// snapshots the state the caller passes in).
+/// respect to each other (the underlying WAL serializes appends; compactions
+/// serialize on their own lock and snapshot the state the caller supplies).
 class RecordStore {
  public:
   /// Opens (creating \p dir if needed) and recovers the store; stray
@@ -75,7 +77,18 @@ class RecordStore {
   /// \brief Writes \p state as a snapshot covering everything appended so
   /// far, prunes old snapshots, and deletes WAL segments the retained
   /// snapshots make redundant. On success the append counter resets.
+  /// Compactions are serialized: two never write or prune at once.
   easytime::Status Compact(std::string_view state);
+
+  /// \brief Compacts only if at least \p every appends landed since the last
+  /// compaction (never when \p every is 0). The count is checked without a
+  /// lock, then again under the compaction lock, so appenders that cross
+  /// the threshold together compact once. The snapshot's sequence number is
+  /// fixed before \p encode_state runs, so the state it returns holds every
+  /// record the snapshot claims to cover (and possibly later ones, which
+  /// replay must tolerate).
+  easytime::Status CompactIfDue(
+      uint64_t every, const std::function<std::string()>& encode_state);
 
   uint64_t last_seq() const { return wal_->last_seq(); }
   uint64_t snapshot_seq() const { return snapshot_seq_; }
@@ -93,10 +106,15 @@ class RecordStore {
  private:
   RecordStore(std::string dir, RecordStoreOptions options,
               std::unique_ptr<Wal> wal, uint64_t snapshot_seq);
+  /// Writes \p state as snapshot \p seq (all of it already durable), then
+  /// prunes; the caller holds compact_mu_.
+  easytime::Status CompactLocked(uint64_t seq, std::string_view state);
 
   const std::string dir_;
   const RecordStoreOptions options_;
   std::unique_ptr<Wal> wal_;
+  /// Serializes snapshot write + prune + WAL trim.
+  std::mutex compact_mu_;
   std::atomic<uint64_t> snapshot_seq_{0};
   std::atomic<uint64_t> appends_since_compaction_{0};
 };

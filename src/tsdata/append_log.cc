@@ -249,7 +249,10 @@ easytime::Status AppendLog::Append(const AppendRecord& record) {
   EASYTIME_ASSIGN_OR_RETURN(uint64_t seq,
                             store_->Append(record.ToJson().Dump()));
   (void)seq;
-  return MaybeCompact();
+  return store_->CompactIfDue(options_.compact_every, [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return EncodeTailsLocked();
+  });
 }
 
 std::string AppendLog::EncodeTailsLocked() const {
@@ -269,19 +272,6 @@ std::string AppendLog::EncodeTailsLocked() const {
   easytime::Json snap = easytime::Json::Object();
   snap.Set("tails", std::move(tails));
   return snap.Dump();
-}
-
-easytime::Status AppendLog::MaybeCompact() {
-  if (options_.compact_every == 0) return Status::OK();
-  if (store_->appends_since_compaction() < options_.compact_every) {
-    return Status::OK();
-  }
-  std::string state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state = EncodeTailsLocked();
-  }
-  return store_->Compact(state);
 }
 
 }  // namespace easytime::tsdata

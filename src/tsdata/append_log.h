@@ -100,7 +100,6 @@ class AppendLog {
   };
 
   std::string EncodeTailsLocked() const;
-  easytime::Status MaybeCompact();
 
   const AppendLogOptions options_;
   std::unique_ptr<store::RecordStore> store_;

@@ -509,6 +509,46 @@ TEST(ClusterRouterTest, RoutesAppendsAndMergesFanOuts) {
   router.Stop();
 }
 
+// Pids of live processes whose command line mentions \p needle.
+std::vector<pid_t> ProcessesMentioning(const std::string& needle) {
+  std::vector<pid_t> out;
+  for (const auto& entry : fs::directory_iterator("/proc")) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream in(entry.path() / "cmdline", std::ios::binary);
+    std::string cmdline((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    if (cmdline.find(needle) != std::string::npos) {
+      out.push_back(static_cast<pid_t>(std::stol(pid)));
+    }
+  }
+  return out;
+}
+
+TEST(ClusterRouterTest, StartFailsWholeWhenOneWorkerCannotComeUp) {
+  const std::string work_dir = TestDir("router_bad_start");
+  ClusterRouter::Options opt = BaseOptions(work_dir);
+  opt.shards = 2;
+  opt.replicate = true;
+  // shard-1's primary cannot open its store: a file sits where its store
+  // directory must go, so that worker exits during bring-up while the
+  // other three come up.
+  fs::create_directories(work_dir);
+  std::ofstream(work_dir + "/shard-1-primary") << "not a directory\n";
+
+  ClusterRouter router(opt);
+  auto started = router.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_NE(started.ToString().find("shard-1-p0"), std::string::npos)
+      << started.ToString();
+  EXPECT_EQ(router.supervisor()->StatsJson().size(), 0u)
+      << "every launched worker must be forgotten: "
+      << router.supervisor()->StatsJson().Dump();
+  EXPECT_TRUE(ProcessesMentioning(work_dir).empty())
+      << "no worker of the failed start may be left running";
+  EXPECT_EQ(router.port(), 0);
+}
+
 TEST(ClusterRouterTest, SigkillFailoverPromotesReplicaWithoutLosingAcks) {
   ClusterRouter::Options opt = BaseOptions(TestDir("router_failover"));
   opt.shards = 1;

@@ -21,6 +21,25 @@ TranslatedQuestion T(const std::string& q) {
   return r.ok() ? std::move(*r) : TranslatedQuestion{};
 }
 
+TEST(Nl2Sql, MethodNameSeasonalNaiveIsNotASeasonalityFilter) {
+  std::vector<std::string> methods = kMethods;
+  methods.push_back("seasonal_naive");
+  auto r = TranslateQuestion(
+      "Is seasonal_naive or theta better on datasets with trends (by mae)?",
+      methods, kDomains);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->intent, QuestionIntent::kCompareMethods);
+  EXPECT_FALSE(r->filters.with_seasonality);
+  EXPECT_EQ(r->sql.find("d.seasonality >"), std::string::npos) << r->sql;
+  EXPECT_NE(r->sql.find("d.trend >"), std::string::npos) << r->sql;
+  // The word itself still filters, next to the method name too.
+  auto seasonal = TranslateQuestion(
+      "Is seasonal_naive or theta better on seasonal datasets?", methods,
+      kDomains);
+  ASSERT_TRUE(seasonal.ok());
+  EXPECT_NE(seasonal->sql.find("d.seasonality >"), std::string::npos);
+}
+
 TEST(Nl2Sql, PaperFigureFiveQuestion) {
   // The exact question shape from Fig. 5 of the paper.
   auto t = T("What are the top-8 methods (ordered by MAE) for long term "

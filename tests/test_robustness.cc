@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,10 +258,12 @@ TEST(RobustnessTest, RunnerSplicesCompletedRecordsWithoutReevaluating) {
   pipeline::BenchmarkConfig config = SingleMethodConfig("naive");
 
   std::map<std::string, pipeline::RunRecord> completed;
+  std::mutex completed_mu;  // on_record runs on pool workers
   std::atomic<size_t> fresh{0};
   {
     pipeline::RunHooks hooks;
     hooks.on_record = [&](const pipeline::RunRecord& rec) {
+      std::lock_guard<std::mutex> lock(completed_mu);
       completed[pipeline::PairKey(rec.dataset, rec.method)] = rec;
       fresh.fetch_add(1);
     };

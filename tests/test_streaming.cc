@@ -603,6 +603,70 @@ TEST(StreamingDurabilityTest, KillMidAppendKeepsAcknowledgedBatchesOnly) {
   fs::remove_all(dir);
 }
 
+TEST(StreamingDurabilityTest, ConcurrentAppendersCrossingCompactionNeverFail) {
+  // Appenders to different datasets cross a tiny compaction threshold
+  // together all the time; exactly one of them may compact at once, and no
+  // append may be answered as failed.
+  const std::string dir = TestDir("concurrent_compact");
+  constexpr size_t kThreads = 8;
+  constexpr size_t kAppends = 40;
+  constexpr size_t kBase = 16;
+  auto make_repo = [] {
+    tsdata::Repository repo;
+    for (size_t t = 0; t < kThreads; ++t) {
+      const std::string name = "s" + std::to_string(t);
+      tsdata::Dataset ds(name);
+      EXPECT_TRUE(
+          ds.AddChannel(tsdata::Series(name, std::vector<double>(kBase, 0.0)))
+              .ok());
+      EXPECT_TRUE(repo.Add(std::move(ds)).ok());
+    }
+    return repo;
+  };
+  tsdata::AppendLogOptions opt;
+  opt.dir = dir;
+  opt.compact_every = 4;
+  {
+    tsdata::Repository repo = make_repo();
+    auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    std::atomic<size_t> failed{0};
+    std::vector<std::thread> appenders;
+    for (size_t t = 0; t < kThreads; ++t) {
+      appenders.emplace_back([&, t] {
+        for (size_t i = 0; i < kAppends; ++i) {
+          tsdata::AppendRecord rec;
+          rec.dataset = "s" + std::to_string(t);
+          rec.start = kBase + 2 * i;
+          rec.channels.push_back({static_cast<double>(rec.start),
+                                  static_cast<double>(rec.start + 1)});
+          auto st = (*log)->Append(rec);
+          if (!st.ok()) {
+            ADD_FAILURE() << rec.dataset << " @" << rec.start << ": "
+                          << st.ToString();
+            failed.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : appenders) th.join();
+    ASSERT_EQ(failed.load(), 0u);
+  }
+
+  tsdata::Repository repo = make_repo();
+  auto log = tsdata::AppendLog::Open(opt, &repo, nullptr);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  for (size_t t = 0; t < kThreads; ++t) {
+    const auto* ds = *repo.Get("s" + std::to_string(t));
+    ASSERT_EQ(ds->length(), kBase + 2 * kAppends) << "s" << t;
+    const auto& values = ds->channel(0).values();
+    for (size_t i = kBase; i < values.size(); ++i) {
+      ASSERT_DOUBLE_EQ(values[i], static_cast<double>(i)) << "s" << t;
+    }
+  }
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // The "backtest" async job
 // ---------------------------------------------------------------------------
